@@ -114,7 +114,7 @@ BENCHMARK(BM_FreeQuery_SupplementaryMagic)->Arg(32);
 }  // namespace coral
 
 int main(int argc, char** argv) {
-  coral::bench::ParseThreadsFlag(&argc, argv);
+  coral::bench::ParseHarnessFlags(&argc, argv);
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   ::benchmark::RunSpecifiedBenchmarks();

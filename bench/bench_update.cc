@@ -180,7 +180,7 @@ BENCHMARK(BM_BatchUpdate_Recompute)
 }  // namespace coral
 
 int main(int argc, char** argv) {
-  coral::bench::ParseThreadsFlag(&argc, argv);
+  coral::bench::ParseHarnessFlags(&argc, argv);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -12,11 +12,6 @@
 
 namespace coral::bench {
 
-/// Worker-count override for the *_Parallel benchmark series, set by the
-/// --threads=N command-line flag. 0 = no override: run the full 1/2/4
-/// series baked into the benchmark arguments.
-inline int g_threads_override = 0;
-
 /// --profile: enable evaluation statistics on every benchmark database
 /// and print the per-module profile after each benchmark. Collection is
 /// cheap but not free; timings under --profile measure the instrumented
@@ -44,16 +39,13 @@ inline int64_t g_deadline_ms = 0;
 /// threads serving concurrent requests). 0 = the benchmark's default.
 inline int g_max_inflight = 0;
 
-/// Strips the harness's own flags (--threads=N, --profile,
-/// --no-auto-index, --no-vm, --deadline-ms=N, --max-inflight=N) from
-/// argv (benchmark::Initialize rejects flags it does not know) and
-/// records them. Call first in main().
-inline void ParseThreadsFlag(int* argc, char** argv) {
+/// Strips the harness's own flags (--profile, --no-auto-index, --no-vm,
+/// --deadline-ms=N, --max-inflight=N) from argv (benchmark::Initialize
+/// rejects flags it does not know) and records them. Call first in main().
+inline void ParseHarnessFlags(int* argc, char** argv) {
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      g_threads_override = std::atoi(argv[i] + 10);
-    } else if (std::strcmp(argv[i], "--profile") == 0) {
+    if (std::strcmp(argv[i], "--profile") == 0) {
       g_profile = true;
     } else if (std::strcmp(argv[i], "--no-auto-index") == 0) {
       g_no_auto_optimize = true;
@@ -87,12 +79,6 @@ template <typename DB>
 inline void MaybeDumpProfile(DB* db, const std::string& label) {
   if (!g_profile) return;
   std::cout << "\n--- profile: " << label << " ---\n" << db->ProfileReport();
-}
-
-/// The worker count a *_Parallel benchmark run should use: the --threads
-/// override when given, else the series value from the benchmark args.
-inline int ThreadsOr(int series_value) {
-  return g_threads_override > 0 ? g_threads_override : series_value;
 }
 
 /// Tiny deterministic PRNG (we avoid std::mt19937 for header brevity).

@@ -38,7 +38,8 @@ inline constexpr const char* kSingletonVar = "CRL121";
 inline constexpr const char* kAnnotationConflict = "CRL130";
 inline constexpr const char* kAnnotationIgnored = "CRL131";
 inline constexpr const char* kAnnotationTarget = "CRL132";
-inline constexpr const char* kBadParallelThreads = "CRL133";
+// CRL133 is retired (it checked the removed @parallel annotation); do not
+// reuse the code.
 inline constexpr const char* kProfilePipelined = "CRL134";
 inline constexpr const char* kIndexArity = "CRL135";
 inline constexpr const char* kDuplicateIndex = "CRL136";

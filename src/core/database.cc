@@ -105,15 +105,7 @@ Database::Database()
               Relation* rel = db->FindBaseRelation(fact->first);
               if (rel == nullptr) return false;
               // Delete every stored fact the pattern subsumes.
-              std::vector<const Tuple*> doomed;
-              std::unique_ptr<TupleIterator> it = rel->Scan();
-              while (const Tuple* stored = it->Next()) {
-                if (SubsumesTuple(fact->second, stored)) {
-                  doomed.push_back(stored);
-                }
-              }
-              size_t removed = 0;
-              for (const Tuple* d : doomed) removed += rel->Delete(d);
+              size_t removed = rel->DeleteMatching(fact->second, nullptr);
               if (removed > 0) {
                 db->modules()->InvalidateDependents(fact->first);
               }
@@ -124,42 +116,17 @@ Database::Database()
 
 Database::~Database() {
   // Teardown ordering: member declaration order would destroy stats_
-  // before the thread pool and the module instances that still hold
-  // ModuleProfile pointers into it. Quiesce the users first — detach the
-  // trace sink, join/destroy pool workers, drop module state — so a
-  // TraceSink or a profile reader can never observe a dead registry.
+  // before the module instances that still hold ModuleProfile pointers
+  // into it. Quiesce the users first — detach the trace sink, drop module
+  // state — so a TraceSink or a profile reader can never observe a dead
+  // registry.
   trace_sink_ = nullptr;
-  pool_.reset();
   modules_.reset();
-}
-
-void Database::set_num_threads(int n) {
-  if (n < 1) n = 1;
-  if (n > kMaxParallelThreads) n = static_cast<int>(kMaxParallelThreads);
-  num_threads_ = n;
-  // Term construction only needs the hash-consing lock when fixpoint
-  // workers can run; single-threaded mode takes the uncontended fast
-  // path — unless concurrent sessions were enabled, which is sticky.
-  factory_->set_concurrent(
-      num_threads_ > 1 ||
-      concurrent_sessions_.load(std::memory_order_relaxed));
 }
 
 void Database::EnableConcurrentSessions() {
   // Enable-only (engages strictly more locking), hence safe at any time.
-  concurrent_sessions_.store(true, std::memory_order_relaxed);
-  factory_->set_concurrent(true);
-}
-
-ThreadPool* Database::thread_pool(size_t threads) {
-  if (threads < 1) threads = 1;
-  // Pool workers + the calling thread service a batch, so `threads`
-  // workers would leave one idle; size the pool at threads - 1.
-  size_t want = threads - 1;
-  if (pool_ == nullptr || (want > 0 && pool_->size() < want)) {
-    pool_ = std::make_unique<ThreadPool>(want > 0 ? want : 1);
-  }
-  return pool_.get();
+  factory_->EnableConcurrent();
 }
 
 Relation* Database::FindBaseRelation(const PredRef& pred) const {
@@ -262,13 +229,7 @@ StatusOr<size_t> Database::DeleteFacts(const Rule& fact) {
   Relation* rel = FindBaseRelation(pred);
   if (rel == nullptr) return size_t{0};
   const Tuple* pattern = factory_->MakeTuple(fact.head.args);
-  std::vector<const Tuple*> doomed;
-  std::unique_ptr<TupleIterator> it = rel->Scan();
-  while (const Tuple* t = it->Next()) {
-    if (SubsumesTuple(pattern, t)) doomed.push_back(t);
-  }
-  size_t removed = 0;
-  for (const Tuple* t : doomed) removed += rel->Delete(t);
+  size_t removed = rel->DeleteMatching(pattern, nullptr);
   if (removed > 0) modules_->InvalidateDependents(pred);
   return removed;
 }
@@ -291,17 +252,11 @@ StatusOr<UpdateResult> Database::ApplyUpdate(const UpdateBatch& batch) {
     Relation* rel = FindBaseRelation(pred);
     if (rel == nullptr) continue;
     const Tuple* pattern = factory_->MakeTuple(fact.head.args);
-    std::vector<const Tuple*> doomed;
-    std::unique_ptr<TupleIterator> it = rel->Scan();
-    while (const Tuple* t = it->Next()) {
-      if (SubsumesTuple(pattern, t)) doomed.push_back(t);
-    }
-    for (const Tuple* t : doomed) {
-      if (rel->Delete(t)) {
-        delta.minus[pred].push_back(t);
-        if (!t->IsGround()) delta.ground_only = false;
-        ++result.base_deleted;
-      }
+    std::vector<const Tuple*> removed;
+    result.base_deleted += rel->DeleteMatching(pattern, &removed);
+    for (const Tuple* t : removed) {
+      delta.minus[pred].push_back(t);
+      if (!t->IsGround()) delta.ground_only = false;
     }
   }
 

@@ -27,7 +27,6 @@
 #include "src/rel/relation.h"
 #include "src/util/status.h"
 #include "src/util/sync.h"
-#include "src/util/thread_pool.h"
 
 namespace coral {
 
@@ -55,7 +54,7 @@ struct QueryResult {
 ///   under a Session (which installs a ReadView snapshot and enables
 ///   concurrent term construction). Without a Session the old contract
 ///   stands: single-threaded use only.
-/// - Configuration (set_num_threads, set_profiling, set_trace_sink, ...)
+/// - Configuration (set_profiling, set_trace_sink, set_use_vm, ...)
 ///   and teardown remain single-threaded administration.
 class Database {
  public:
@@ -223,18 +222,6 @@ class Database {
   void set_trace_sink(obs::TraceSink* sink) { trace_sink_ = sink; }
   obs::TraceSink* trace_sink() const { return trace_sink_; }
 
-  // ---- parallel evaluation ----
-  /// Default worker count for the parallel semi-naive fixpoint. Modules
-  /// annotated @parallel(N) override it; modules without @parallel also
-  /// use it, so embedding code can parallelize any eligible materialized
-  /// module without touching CRL text. 1 (the default) is the sequential
-  /// engine, byte-for-byte. Values are clamped to [1, kMaxParallelThreads].
-  void set_num_threads(int n);
-  int num_threads() const { return num_threads_; }
-  /// The shared worker pool, created on first use with at least `threads`
-  /// workers (grown by recreation if a later caller needs more).
-  ThreadPool* thread_pool(size_t threads);
-
   // ---- concurrent sessions (docs/SERVER.md) ----
   /// The current committed snapshot: publishes any relation state changed
   /// since the last acquisition (bumping the epoch) and returns the view.
@@ -250,8 +237,8 @@ class Database {
 
   /// Declares that multiple Session threads will use this database:
   /// permanently enables concurrent term construction and symbol
-  /// interning. Sticky — set_num_threads can no longer drop the locks.
-  /// Called automatically by Session; safe to call at any time.
+  /// interning. Enable-only, hence safe to call at any time; called
+  /// automatically by Session.
   void EnableConcurrentSessions();
 
   /// The commit lock. Writer commits and module-activation structural
@@ -293,7 +280,6 @@ class Database {
   /// commit lock, read under at least the shared lock.
   std::atomic<bool> snapshot_stale_{true};
   std::shared_ptr<const ReadView> view_ CORAL_GUARDED_BY(commit_mu_);
-  std::atomic<bool> concurrent_sessions_{false};
   std::string listing_dir_;
   DiagnosticList last_diagnostics_;
   bool strict_ = false;
@@ -301,8 +287,6 @@ class Database {
   bool use_vm_ = true;
   bool maintenance_enabled_ = true;
   obs::VmCounters vm_counters_;
-  int num_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
   bool profiling_ = false;
   obs::StatsRegistry stats_;
   obs::MaintenanceCounters maintenance_counters_;

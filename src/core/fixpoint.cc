@@ -3,14 +3,11 @@
 // (paper §4.2, §5.3).
 
 #include <chrono>
-#include <set>
 #include <unordered_set>
 
 #include "src/core/database.h"
 #include "src/core/eval_context.h"
 #include "src/core/module_eval.h"
-#include "src/rel/readview.h"
-#include "src/rewrite/existential.h"
 #include "src/util/logging.h"
 
 namespace coral {
@@ -69,8 +66,7 @@ std::pair<Mark, Mark> MaterializedInstance::WindowFor(
 }
 
 StatusOr<std::unique_ptr<GoalSource>> MaterializedInstance::MakeSource(
-    const Literal* lit, BindEnv* env, Mark from, Mark to,
-    PartitionSpec part) {
+    const Literal* lit, BindEnv* env, Mark from, Mark to) {
   PredRef pred = lit->pred_ref();
   if (Relation* rel = internal(pred)) {
     if (lit->negated) {
@@ -78,7 +74,7 @@ StatusOr<std::unique_ptr<GoalSource>> MaterializedInstance::MakeSource(
           new NegationGoalSource(lit, env, rel));
     }
     return std::unique_ptr<GoalSource>(
-        new RelationGoalSource(lit, env, rel, from, to, part));
+        new RelationGoalSource(lit, env, rel, from, to));
   }
   return ExternalResolver(db_).Make(lit, env);
 }
@@ -116,9 +112,8 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
   const Rule& rule = prog_->rules[v.rule_index];
   const bool psn = !v.evaluate_once && cur == nullptr;
 
-  // Applications are counted before the empty-delta short circuits so
-  // the sequential and parallel drivers agree (the parallel driver
-  // counts per version per iteration, without seeing worker skips).
+  // Applications are counted before the empty-delta short circuits: one
+  // per version per iteration, whether or not its delta is empty.
   obs::RuleStats* rs =
       profile_ != nullptr ? &profile_->rule(v.rule_index) : nullptr;
   if (rs != nullptr) rs->applications.fetch_add(1, std::memory_order_relaxed);
@@ -220,6 +215,10 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
       probes = rst.tuples;
       obs_derived = rst.solutions;
       vm_done = true;
+    } else if (r == vm::RunResult::kDeadlineExceeded) {
+      // Expiry is sticky, so this is the kDeadlineExceeded status; the
+      // interpreter must not re-run the application past the deadline.
+      return CheckEvalDeadline();
     } else {
       // Discard the VM's solution count — the interpreter re-counts from
       // scratch, so stats match an interpreter-only run exactly.
@@ -325,315 +324,6 @@ StatusOr<bool> MaterializedInstance::ApplyVersion(
   return changed;
 }
 
-size_t MaterializedInstance::EffectiveThreads() const {
-  if (!parallel_safe_) return 1;
-  // A maintenance pass (and the fixpoint it resumes) tracks per-predicate
-  // deltas in plain containers; it runs sequentially.
-  if (maintenance_mode_) return 1;
-  // Snapshot readers evaluate single-threaded: concurrency comes from the
-  // sessions themselves, and the shared worker pool is not coordinated
-  // with the per-thread ReadView installation.
-  if (ActiveReadView() != nullptr) return 1;
-  int64_t n = decl_->parallel_threads > 0 ? decl_->parallel_threads
-                                          : db_->num_threads();
-  if (n < 1) n = 1;
-  if (n > kMaxParallelThreads) n = kMaxParallelThreads;
-  return static_cast<size_t>(n);
-}
-
-Status MaterializedInstance::ApplyVersionPartitioned(
-    size_t scc_idx, const RuleVersion& v, bool naive_override,
-    const std::unordered_map<PredRef, Mark, PredRefHash>* cur,
-    uint32_t part_index, uint32_t part_count, Trail* trail,
-    InsertBuffer* buffer, EvalStats* stats) {
-  const Rule& rule = prog_->rules[v.rule_index];
-
-  // Empty-delta short circuit, exactly as in ApplyVersion.
-  if (v.delta_pos >= 0 && !naive_override) {
-    PredRef dpred = rule.body[v.delta_pos].pred_ref();
-    auto [dfrom, dto] = WindowFor(scc_idx, dpred, RangeSel::kDelta, cur);
-    if (dfrom >= dto) return Status::OK();
-    Relation* drel = internal(dpred);
-    if (drel != nullptr) {
-      std::unique_ptr<TupleIterator> probe = drel->ScanRange(dfrom, dto);
-      if (probe->Next() == nullptr) return Status::OK();
-    }
-  }
-
-  // The partitioned literal: the delta scan when it is a positive internal
-  // literal, else the first positive internal literal. Partitioning any
-  // single body scan splits the rule's solution set into disjoint,
-  // covering shares, so each derivation is produced by exactly one worker.
-  // A rule with an all-external body is evaluated whole by worker 0.
-  int plit = -1;
-  if (v.delta_pos >= 0 && !rule.body[v.delta_pos].negated &&
-      internal(rule.body[v.delta_pos].pred_ref()) != nullptr) {
-    plit = v.delta_pos;
-  } else {
-    for (size_t i = 0; i < rule.body.size(); ++i) {
-      const Literal& lit = rule.body[i];
-      if (!lit.negated && internal(lit.pred_ref()) != nullptr) {
-        plit = static_cast<int>(i);
-        break;
-      }
-    }
-  }
-  if (plit < 0 && part_index != 0) return Status::OK();
-
-  // Partition column: the first argument of the partitioned literal that
-  // is a join argument — non-ground, with every variable bound by an
-  // earlier positive literal — so one subgoal's probes stay on one
-  // worker. Constants are degenerate keys (every matching tuple hashes
-  // alike); no join argument falls back to the whole-tuple hash.
-  PartitionSpec part;
-  if (plit >= 0 && part_count > 1) {
-    std::set<uint32_t> bound;
-    for (int i = 0; i < plit; ++i) {
-      const Literal& lit = rule.body[i];
-      if (lit.negated) continue;
-      std::set<uint32_t> vars = VarsOfLiteral(lit);
-      bound.insert(vars.begin(), vars.end());
-    }
-    static const std::set<uint32_t> kNoVars;
-    const Literal& p = rule.body[plit];
-    int col = -1;
-    for (uint32_t c = 0; c < p.args.size(); ++c) {
-      if (TermBound(p.args[c], bound) && !TermBound(p.args[c], kNoVars)) {
-        col = static_cast<int>(c);
-        break;
-      }
-    }
-    part = PartitionSpec{col, part_index, part_count};
-  }
-
-  // Per-literal mark windows, shared by the VM and the interpreter.
-  std::vector<std::pair<Mark, Mark>> windows(rule.body.size(),
-                                             {Mark{0}, kMaxMark});
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    const Literal& lit = rule.body[i];
-    if (lit.negated || internal(lit.pred_ref()) == nullptr) continue;
-    RangeSel sel = naive_override ? RangeSel::kFull : v.ranges[i];
-    windows[i] = WindowFor(scc_idx, lit.pred_ref(), sel, cur);
-  }
-
-  // Join bytecode first. The worker sink buffers exactly as the
-  // interpreted worker loop does; on kFallback the interpreter below
-  // re-runs the whole partition — buffered repeats are deduplicated in
-  // the buffer and again by Insert at the merge barrier.
-  if (const VmBoundRule* vb = VmRuleFor(scc_idx, v.evaluate_once,
-                                        VersionIndex(scc_idx, v))) {
-    struct Sink : vm::TupleSink {
-      HashRelation* hrel = nullptr;
-      InsertBuffer* buffer = nullptr;
-      bool Emit(const Tuple* t) override {
-        // Contains is a pure read on the frozen relation (bind-time
-        // checks exclude multiset and aggregate-selection heads).
-        if (hrel->Contains(t)) return false;
-        buffer->Add(hrel, t, /*dedup=*/true);
-        return false;
-      }
-    } sink;
-    sink.hrel = vb->head;
-    sink.buffer = buffer;
-    vm::RunInput in;
-    in.prog = vb->prog;
-    in.rels = vb->rels;
-    in.hash_rels = vb->hash_rels;
-    in.windows = windows;
-    in.factory = db_->factory();
-    if (plit >= 0 && part_count > 1) {
-      in.part_lit = plit;
-      in.part_col = part.col;
-      in.part_index = part_index;
-      in.part_count = part_count;
-    }
-    vm::RunStats rst;
-    vm::RunResult r = vm::Execute(in, &sink, &rst);
-    obs::VmCounters* vc = db_->vm_counters();
-    vc->applications.fetch_add(1, std::memory_order_relaxed);
-    FlushVmOps(vc, rst.ops);
-    if (r == vm::RunResult::kOk) {
-      stats->solutions += rst.solutions;
-      if (profile_ != nullptr) {
-        obs::RuleStats& rstats = profile_->rule(v.rule_index);
-        rstats.probes.fetch_add(rst.tuples, std::memory_order_relaxed);
-        rstats.solutions.fetch_add(rst.solutions,
-                                   std::memory_order_relaxed);
-        rstats.derived.fetch_add(rst.solutions, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-    vc->runtime_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // Worker-private environment and trail: the shared EnvFor slots exist to
-  // recycle allocations across iterations, which workers must not share.
-  BindEnv env(rule.var_count);
-  std::vector<std::unique_ptr<GoalSource>> sources;
-  sources.reserve(rule.body.size());
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    const Literal& lit = rule.body[i];
-    auto [from, to] = windows[i];
-    CORAL_ASSIGN_OR_RETURN(
-        std::unique_ptr<GoalSource> src,
-        MakeSource(&lit, &env, from, to,
-                   static_cast<int>(i) == plit ? part : PartitionSpec{}));
-    sources.push_back(std::move(src));
-  }
-
-  RuleCursor cursor(std::move(sources), v.backtrack,
-                    decl_->intelligent_backtracking, trail);
-  PredRef head = rule.head.pred_ref();
-  auto* hrel = static_cast<HashRelation*>(internal(head));
-  CORAL_CHECK(hrel != nullptr) << head.ToString();
-  // Contains is a pure read, so workers may pre-filter duplicates against
-  // the (frozen) relation — but only when Insert would do nothing more
-  // than that same duplicate check.
-  const bool prefilter = !hrel->multiset() && hrel->selections().empty();
-  std::vector<TermRef> head_refs(rule.head.args.size());
-  uint64_t sols = 0;
-  while (cursor.Next()) {
-    ++sols;
-    for (size_t i = 0; i < rule.head.args.size(); ++i) {
-      head_refs[i] = {rule.head.args[i], &env};
-    }
-    const Tuple* t = ResolveTuple(head_refs, db_->factory());
-    if (prefilter && hrel->Contains(t)) continue;
-    buffer->Add(hrel, t, !hrel->multiset());
-  }
-  stats->solutions += sols;
-  if (profile_ != nullptr) {
-    // Worker-side counters: disjoint covering partitions make the sums
-    // of solutions/derived thread-count invariant; probes are exact but
-    // schedule-dependent (see RuleStats).
-    obs::RuleStats& rstats = profile_->rule(v.rule_index);
-    rstats.probes.fetch_add(cursor.probes(), std::memory_order_relaxed);
-    rstats.solutions.fetch_add(sols, std::memory_order_relaxed);
-    rstats.derived.fetch_add(sols, std::memory_order_relaxed);
-  }
-  cursor.UndoAll();
-  return cursor.status();
-}
-
-Status MaterializedInstance::RunIterationParallel(size_t scc_idx,
-                                                  bool* changed,
-                                                  size_t nthreads) {
-  *changed = false;
-  const SccPlan& plan = prog_->seminaive.sccs[scc_idx];
-  const bool naive = decl_->fixpoint == FixpointKind::kNaive;
-
-  // Snapshot every internal relation, as in the sequential iteration. All
-  // worker reads are bounded by this snapshot and all worker derivations
-  // go to buffers, so relations are immutable for the whole parallel
-  // phase; rule applications commute.
-  std::unordered_map<PredRef, Mark, PredRefHash> cur;
-  cur.reserve(internal_.size());
-  for (auto& [pred, rel] : internal_) cur[pred] = rel->Snapshot();
-
-  // Aggregate heads need one accumulator over ALL body solutions of the
-  // rule, so those versions run sequentially after the merge (over the
-  // same snapshot — same input the sequential engine gives them).
-  std::vector<const RuleVersion*> par_versions, agg_versions;
-  std::unordered_set<uint32_t> seen;
-  for (const RuleVersion& v : plan.versions) {
-    if (naive && !seen.insert(v.rule_index).second) continue;
-    (v.is_aggregate ? agg_versions : par_versions).push_back(&v);
-  }
-
-  // Rule applications are counted by the driver, once per version per
-  // iteration, matching the sequential engine's per-call count.
-  if (profile_ != nullptr) {
-    for (const RuleVersion* v : par_versions) {
-      profile_->rule(v->rule_index)
-          .applications.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  // One buffer per (worker, version): merging version-major below keeps
-  // cross-version duplicate attribution identical to the sequential
-  // engine, which finishes inserting version k before starting k+1.
-  struct Worker {
-    Trail trail;
-    std::vector<InsertBuffer> buffers;
-    EvalStats stats;
-    Status status;
-    uint64_t ns = 0;
-  };
-  std::vector<Worker> workers(nthreads);
-  for (Worker& wk : workers) wk.buffers.resize(par_versions.size());
-  const bool timing = profile_ != nullptr;
-
-  // Term construction must lock while workers run, even when the
-  // Database default is single-threaded (e.g. @parallel(N) modules).
-  // This flip (and its restore below) are the quiescent points the
-  // MaybeMutexLock fiction in TermFactory relies on: no worker exists
-  // before the flip, and Run() barriers before the restore, so the flag
-  // itself is never read concurrently with a write. See
-  // docs/CONCURRENCY.md, "The one fiction".
-  TermFactory* factory = db_->factory();
-  const bool was_concurrent = factory->concurrent();
-  factory->set_concurrent(true);
-
-  db_->thread_pool(nthreads)->Run(nthreads, [&](size_t w) {
-    Worker& wk = workers[w];
-    const uint64_t t0 = timing ? NowNs() : 0;
-    for (size_t vi = 0; vi < par_versions.size(); ++vi) {
-      wk.status = ApplyVersionPartitioned(
-          scc_idx, *par_versions[vi], naive, &cur, static_cast<uint32_t>(w),
-          static_cast<uint32_t>(nthreads), &wk.trail, &wk.buffers[vi],
-          &wk.stats);
-      if (!wk.status.ok()) break;
-    }
-    if (timing) wk.ns = NowNs() - t0;
-  });
-
-  factory->set_concurrent(was_concurrent);
-
-  last_worker_ns_.clear();
-  for (const Worker& wk : workers) {
-    CORAL_RETURN_IF_ERROR(wk.status);
-    stats_.solutions += wk.stats.solutions;
-    if (timing) last_worker_ns_.push_back(wk.ns);
-  }
-
-  // Merge barrier: serial inserts re-run the full duplicate / subsumption
-  // / aggregate-selection machinery, so the relations end the iteration
-  // with exactly the tuple sets the sequential insert order produces.
-  for (size_t vi = 0; vi < par_versions.size(); ++vi) {
-    obs::RuleStats* rs =
-        profile_ != nullptr
-            ? &profile_->rule(par_versions[vi]->rule_index)
-            : nullptr;
-    for (const Worker& wk : workers) {
-      for (const InsertBuffer::Entry& e : wk.buffers[vi].entries()) {
-        if (e.rel->Insert(e.tuple)) {
-          ++stats_.inserts;
-          *changed = true;
-          if (rs != nullptr) {
-            rs->inserted.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (trace_ != nullptr) {
-            obs::TraceEvent ev;
-            ev.kind = obs::TraceKind::kInsert;
-            ev.module = decl_->name;
-            ev.pred = e.rel->name();
-            ev.detail = e.tuple->ToString();
-            trace_->Emit(ev);
-          }
-        }
-      }
-    }
-  }
-
-  for (const RuleVersion* v : agg_versions) {
-    CORAL_ASSIGN_OR_RETURN(bool c, ApplyVersion(scc_idx, *v, naive, &cur));
-    *changed |= c;
-  }
-
-  if (!naive) prev_marks_[scc_idx] = std::move(cur);
-  return Status::OK();
-}
-
 Status MaterializedInstance::RunOnceRules(size_t scc_idx) {
   for (const RuleVersion& v : prog_->seminaive.sccs[scc_idx].once) {
     CORAL_RETURN_IF_ERROR(ApplyVersion(scc_idx, v, false, nullptr).status());
@@ -655,13 +345,7 @@ Status MaterializedInstance::RunIteration(size_t scc_idx, bool* changed) {
   }
 
   // BSN / Naive: within one iteration every read is bounded by a snapshot
-  // taken at iteration start, so rule applications are data-independent —
-  // the property the parallel engine exploits.
-  size_t nthreads = EffectiveThreads();
-  if (nthreads > 1) {
-    return RunIterationParallel(scc_idx, changed, nthreads);
-  }
-
+  // taken at iteration start.
   std::unordered_map<PredRef, Mark, PredRefHash> cur;
   cur.reserve(internal_.size());
   for (auto& [pred, rel] : internal_) cur[pred] = rel->Snapshot();
@@ -704,7 +388,6 @@ Status MaterializedInstance::RunIterationObserved(size_t scc_idx,
   }
   const uint64_t ins0 = stats_.inserts;
   const uint64_t sols0 = stats_.solutions;
-  last_worker_ns_.clear();
   const uint64_t t0 = NowNs();
   Status st = RunIteration(scc_idx, changed);
   const uint64_t wall = NowNs() - t0;
@@ -714,7 +397,6 @@ Status MaterializedInstance::RunIterationObserved(size_t scc_idx,
     it.inserts = stats_.inserts - ins0;
     it.solutions = stats_.solutions - sols0;
     it.wall_ns = wall;
-    it.worker_ns = std::move(last_worker_ns_);
     profile_->RecordIteration(std::move(it));
   }
   if (trace_ != nullptr) {

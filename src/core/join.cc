@@ -35,10 +35,6 @@ std::vector<TermRef> LiteralRefs(const Literal& lit, BindEnv* env) {
 void RelationGoalSource::DoReset() {
   std::vector<TermRef> refs = LiteralRefs(*lit_, env_);
   it_ = rel_->Select(refs, from_, to_);
-  if (part_.count > 1) {
-    it_ = std::make_unique<PartitionedIterator>(std::move(it_), part_.col,
-                                                part_.index, part_.count);
-  }
 }
 
 bool RelationGoalSource::Next(Trail* trail) {

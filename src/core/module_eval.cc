@@ -249,36 +249,6 @@ Status MaterializedInstance::Init() {
     if (rel != nullptr) rel->AddArgumentIndex(prog_->bound_positions);
   }
 
-  // Parallel eligibility. The parallel engine covers plain materialized
-  // BSN/Naive evaluation; everything else falls back to the sequential
-  // engine: Ordered Search (staging interception), @explain (derivation
-  // recording), PSN (relies on immediate availability of facts derived
-  // earlier in the same pass), inter-module calls (nested evaluation),
-  // write/writeln (output order), and predicates local to other modules
-  // (diagnosed sequentially).
-  parallel_safe_ = !prog_->ordered_search && !decl_->explain &&
-                   decl_->fixpoint != FixpointKind::kPredicateSemiNaive;
-  for (const Rule& r : prog_->rules) {
-    if (!parallel_safe_) break;
-    for (const Literal& lit : r.body) {
-      PredRef pred = lit.pred_ref();
-      if (internal_.count(pred)) continue;
-      const std::string& name = pred.sym->name;
-      if (db_->builtins()->Find(name, pred.arity) != nullptr) {
-        if (name == "write" || name == "writeln") parallel_safe_ = false;
-        continue;
-      }
-      if (db_->modules()->Exports(pred) ||
-          !db_->modules()->LocalOwner(pred).empty()) {
-        parallel_safe_ = false;
-        continue;
-      }
-      // Plain base relation: create it now, while still single-threaded,
-      // so workers never race through GetOrCreateBaseRelation.
-      db_->GetOrCreateBaseRelation(pred);
-    }
-  }
-
   size_t n_sccs = prog_->seminaive.sccs.size();
   prev_marks_.resize(n_sccs);
   psn_marks_.resize(n_sccs);

@@ -32,19 +32,19 @@ namespace coral {
 /// must never be mixed.
 ///
 /// Construction methods are thread-safe (guarded by mu_, rank
-/// kRankTermFactory) so the parallel fixpoint workers can resolve head
-/// tuples concurrently; returned nodes are immutable and may be read from
-/// any thread. The symbol table is only safe through factory methods
-/// (MakeAtom / MakeFunctor-by-name) — direct symbols().Intern() calls
-/// remain single-threaded (parser, setup).
+/// kRankTermFactory) so concurrent Sessions can build terms; returned
+/// nodes are immutable and may be read from any thread. The symbol table
+/// is only safe through factory methods (MakeAtom / MakeFunctor-by-name)
+/// — direct symbols().Intern() calls remain single-threaded (parser,
+/// setup).
 ///
-/// The lock is only taken while `concurrent()` is set (the Database flips
-/// it with set_num_threads): with one thread every construction skips the
-/// mutex entirely (MaybeMutexLock). The flag itself must only change at
-/// points where no other thread can be constructing terms. Public
-/// constructors take the guard once and delegate to private *Locked
-/// methods, so composed constructions (MakeList -> cons -> functor ->
-/// atom) lock once instead of recursively.
+/// The lock is only taken once `concurrent()` is set (the Database sets
+/// it in EnableConcurrentSessions): until then every construction skips
+/// the mutex entirely (MaybeMutexLock). The flag is enable-only, so it
+/// never drops a lock another thread relies on. Public constructors take
+/// the guard once and delegate to private *Locked methods, so composed
+/// constructions (MakeList -> cons -> functor -> atom) lock once instead
+/// of recursively.
 class TermFactory {
  public:
   TermFactory();
@@ -52,8 +52,8 @@ class TermFactory {
   TermFactory& operator=(const TermFactory&) = delete;
 
   /// The symbol table. The reference bypasses the construction lock; that
-  /// is safe because SymbolTable self-locks (rank kRankSymbolTable) while
-  /// concurrent() is set — set_concurrent flips both flags together. In
+  /// is safe because SymbolTable self-locks (rank kRankSymbolTable) once
+  /// concurrent() is set — EnableConcurrent sets both flags together. In
   /// single-threaded mode the old contract stands: serial parse/setup
   /// phases only (docs/CONCURRENCY.md).
   SymbolTable& symbols()
@@ -62,15 +62,14 @@ class TermFactory {
     return symbols_;
   }
 
-  /// Enables (or disables) the internal construction lock and the symbol
-  /// table's interning lock. Enabling is safe at any time (flags are
-  /// atomic and engage strictly more locking); disabling is only safe
-  /// from single-threaded code — typically Database::set_num_threads.
-  void set_concurrent(bool on)
-      CORAL_TS_UNSAFE("flag flips are atomic; symbols_ self-locks "
+  /// Engages the internal construction lock and the symbol table's
+  /// interning lock for good. Safe at any time: the flags are atomic and
+  /// engage strictly more locking.
+  void EnableConcurrent()
+      CORAL_TS_UNSAFE("enable-only atomic flags; symbols_ self-locks "
                       "independently of mu_") {
-    concurrent_.store(on, std::memory_order_relaxed);
-    symbols_.set_concurrent(on);
+    concurrent_.store(true, std::memory_order_relaxed);
+    symbols_.EnableConcurrent();
   }
   bool concurrent() const {
     return concurrent_.load(std::memory_order_relaxed);
@@ -164,8 +163,8 @@ class TermFactory {
   /// Guards every construction path (arena, hash-cons tables, symbol
   /// interning via MakeAtom). Engaged only when concurrent_ is set.
   mutable Mutex mu_{kRankTermFactory};
-  /// Read before locking to decide whether to lock at all; flipped only
-  /// at quiescent points (no workers constructing), which is what makes
+  /// Read before locking to decide whether to lock at all. Enable-only,
+  /// set before a second thread constructs terms, which is what makes
   /// the unguarded read sound.
   std::atomic<bool> concurrent_{false};
   Arena arena_ CORAL_GUARDED_BY(mu_);

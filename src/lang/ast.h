@@ -79,9 +79,6 @@ struct Rule {
 enum class EvalMode { kMaterialized, kPipelined };
 enum class FixpointKind { kBasicSemiNaive, kPredicateSemiNaive, kNaive };
 
-/// Upper bound on @parallel(N) / Database::set_num_threads(): far above
-/// any sensible worker count for one fixpoint, low enough to catch typos.
-inline constexpr int64_t kMaxParallelThreads = 64;
 enum class RewriteKind { kSupplementaryMagic, kMagic, kFactoring, kNone };
 
 /// One exported query form: predicate + adornment string over {b, f}
@@ -148,9 +145,6 @@ struct ModuleDecl {
                                    // database-level auto-optimizer is on
   bool no_vm = false;              // always interpret; never run this
                                    // module's rules on the bytecode VM
-  bool parallel = false;           // @parallel: multi-threaded fixpoint
-  int64_t parallel_threads = -1;   // @parallel(N); -1 = no explicit count
-                                   // (use Database::num_threads())
   std::vector<AggSelDecl> agg_selections;
   std::vector<IndexDecl> indexes;
   std::vector<Symbol> multiset_preds;  // paper §4.2 multiset semantics

@@ -36,4 +36,24 @@ bool Relation::Delete(const Tuple* t) {
   return true;
 }
 
+size_t Relation::DeleteMatching(const Tuple* pattern,
+                                std::vector<const Tuple*>* removed) {
+  std::vector<const Tuple*> doomed;
+  if (pattern->IsGround()) {
+    doomed.push_back(pattern);
+  } else {
+    std::unique_ptr<TupleIterator> it = Scan();
+    while (const Tuple* t = it->Next()) {
+      if (SubsumesTuple(pattern, t)) doomed.push_back(t);
+    }
+  }
+  size_t n = 0;
+  for (const Tuple* t : doomed) {
+    if (!Delete(t)) continue;
+    ++n;
+    if (removed != nullptr) removed->push_back(t);
+  }
+  return n;
+}
+
 }  // namespace coral

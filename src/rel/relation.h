@@ -91,6 +91,14 @@ class Relation {
   /// aggregate-selection group tables in sync.
   bool Delete(const Tuple* t);
 
+  /// Removes every stored tuple that `pattern` subsumes, appending each
+  /// to `removed` when non-null; returns how many were removed. A ground
+  /// pattern is canonical (hash-consed), so it is deleted directly: it
+  /// subsumes only itself, never a stored non-ground tuple such as p(X).
+  /// A non-ground pattern scans the relation.
+  size_t DeleteMatching(const Tuple* pattern,
+                        std::vector<const Tuple*>* removed);
+
   /// Number of live (non-deleted) tuples.
   virtual size_t size() const = 0;
 

@@ -121,7 +121,6 @@ enum LockRank : uint32_t {
                              // briefly at snapshot acquisition)
   kRankModuleManager = 6,    // ModuleManager::mu_ (form cache, exports)
   kRankBaseMap = 8,          // Database::base_mu_ (base-relation map)
-  kRankThreadPool = 10,      // ThreadPool::mu_ (batch dispatch state)
   kRankStatsRegistry = 20,   // obs::StatsRegistry::mu_ (profile map)
   kRankModuleProfile = 30,   // obs::ModuleProfile::mu_ (rule/iter logs)
   kRankTermFactory = 40,     // TermFactory::mu_ (arena + hash-cons)

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "src/core/builtins.h"
-#include "src/rel/partition.h"
+#include "src/core/eval_context.h"
 
 namespace coral::vm {
 
@@ -24,7 +24,9 @@ class Executor {
         head_buf_(prog_.head.size(), nullptr) {}
 
   RunResult Run() {
-    return RunLevel(0) ? RunResult::kOk : RunResult::kFallback;
+    const bool ok = RunLevel(0);
+    if (expired_) return RunResult::kDeadlineExceeded;
+    return ok ? RunResult::kOk : RunResult::kFallback;
   }
 
  private:
@@ -53,15 +55,17 @@ class Executor {
     return false;
   }
 
-  /// One candidate at level `li`. Returns false only on fallback-abort;
-  /// a failed check just skips the candidate.
-  bool Step(const Level& lv, size_t li, const Tuple* t, bool part_here) {
+  /// One candidate at level `li`. Returns false only on abort (fallback
+  /// or expired deadline); a failed check just skips the candidate.
+  bool Step(const Level& lv, size_t li, const Tuple* t) {
     ++st_->tuples;
-    if (!t->IsGround()) return false;
-    if (part_here &&
-        PartitionKey(t, in_.part_col) % in_.part_count != in_.part_index) {
-      return true;
+    // Deadline poll, amortized over ~1k candidates so the common case
+    // costs one branch.
+    if ((st_->tuples & 1023u) == 0 && EvalDeadlineExpired()) {
+      expired_ = true;
+      return false;
     }
+    if (!t->IsGround()) return false;
     const uint32_t end = lv.first_check + lv.num_checks;
     for (uint32_t i = lv.first_check; i < end; ++i) {
       const Instr& c = prog_.code[i];
@@ -102,8 +106,6 @@ class Executor {
     const Level& lv = prog_.levels[li];
     auto [from, to] = in_.windows[lv.lit];
     if (from >= to) return true;
-    const bool part_here =
-        in_.part_lit == static_cast<int>(lv.lit) && in_.part_count > 1;
 
     if (lv.scan == Op::kProbeIndex) {
       HashRelation* h = in_.hash_rels[li];
@@ -117,7 +119,7 @@ class Executor {
         if (h->ProbeArgs(lv.key_cols, key_buf_, from, to, &cand)) {
           ++st_->ops.probe_index;
           for (const Tuple* t : cand) {
-            if (!Step(lv, li, t, part_here)) return false;
+            if (!Step(lv, li, t)) return false;
           }
           return true;
         }
@@ -133,7 +135,7 @@ class Executor {
     }
     std::unique_ptr<TupleIterator> it = in_.rels[li]->ScanRange(from, to);
     while (const Tuple* t = it->Next()) {
-      if (!Step(lv, li, t, part_here)) return false;
+      if (!Step(lv, li, t)) return false;
     }
     // A failing storage scan falls back too: the interpreter re-runs the
     // application and surfaces the error through its Status plumbing.
@@ -148,6 +150,7 @@ class Executor {
   std::vector<std::vector<const Tuple*>> cand_;
   std::vector<const Arg*> head_buf_;
   std::vector<const Arg*> key_buf_;
+  bool expired_ = false;
 };
 
 }  // namespace

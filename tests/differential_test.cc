@@ -291,133 +291,6 @@ void RunDifferential(uint64_t seed, bool with_negation) {
   }
 }
 
-// Parallel differential: the same generated program is evaluated with 1,
-// 2 and 4 worker threads; every thread count must produce relations that
-// are set-identical to the independent reference fixpoint (and therefore
-// to each other — the 1-thread run is additionally compared directly, so
-// a failure names the first diverging configuration).
-void RunParallelDifferential(uint64_t seed, bool with_negation) {
-  Lcg rng(seed);
-  std::vector<GRule> rules = GenProgram(&rng, with_negation);
-  if (rules.empty()) return;
-  Db base = GenBaseFacts(&rng);
-  for (int d = 0; d < kDerived; ++d) {
-    bool defined = false;
-    for (const GRule& r : rules) defined |= r.head == d;
-    if (!defined) {
-      GRule r;
-      r.head = d;
-      r.head_args[0] = 0;
-      r.head_args[1] = 1;
-      r.body = {GLit{0, false, {0, 1}}};
-      rules.push_back(r);
-    }
-  }
-
-  Db expected = base;
-  ReferenceFixpoint(rules, &expected);
-
-  // Strategies that fall back to the sequential engine (@psn,
-  // @ordered_search) stay in the mix on purpose: the fallback must be as
-  // correct as the parallel path.
-  static const char* kPositive[] = {"",      "@psn.",           "@naive.",
-                                    "@no_rewriting.", "@magic.",
-                                    "@reorder_joins.", "@save_module.",
-                                    "@eager."};
-  static const char* kWithNeg[] = {"",        "@psn.",
-                                   "@naive.", "@no_rewriting.",
-                                   "@magic.", "@ordered_search."};
-  const char* strategy = with_negation
-                             ? kWithNeg[rng.Next(6)]
-                             : kPositive[rng.Next(8)];
-  std::string text = ProgramText(rules, base, strategy);
-
-  static const int kThreads[] = {1, 2, 4};
-  std::set<Fact> single[kDerived];  // 1-thread engine results
-  for (int ti = 0; ti < 3; ++ti) {
-    Database db;
-    db.set_num_threads(kThreads[ti]);
-    auto st = db.Consult(text);
-    ASSERT_TRUE(st.ok()) << st.status().ToString() << "\nseed " << seed
-                         << " threads " << kThreads[ti] << "\n" << text;
-    for (int d = 0; d < kDerived; ++d) {
-      auto res = db.EvalQuery(PredName(kBase + d) + "(X, Y)");
-      ASSERT_TRUE(res.ok())
-          << res.status().ToString() << "\nseed " << seed << " strategy '"
-          << strategy << "' threads " << kThreads[ti] << "\n" << text;
-      std::set<Fact> got;
-      for (const AnswerRow& row : res->rows) {
-        ASSERT_EQ(row.bindings.size(), 2u);
-        ASSERT_EQ(row.bindings[0].second->kind(), ArgKind::kInt);
-        got.insert({static_cast<int>(
-                        ArgCast<IntArg>(row.bindings[0].second)->value()),
-                    static_cast<int>(
-                        ArgCast<IntArg>(row.bindings[1].second)->value())});
-      }
-      EXPECT_EQ(got, expected[kBase + d])
-          << "pred " << PredName(kBase + d) << " vs reference, seed "
-          << seed << " strategy '" << strategy << "' threads "
-          << kThreads[ti] << "\n" << text;
-      if (ti == 0) {
-        single[d] = std::move(got);
-      } else {
-        EXPECT_EQ(got, single[d])
-            << "pred " << PredName(kBase + d)
-            << " diverges from the 1-thread run, seed " << seed
-            << " strategy '" << strategy << "' threads " << kThreads[ti]
-            << "\n" << text;
-      }
-    }
-  }
-}
-
-// @parallel(N) in the module text (instead of Database::set_num_threads)
-// must behave identically.
-void RunAnnotatedParallelDifferential(uint64_t seed) {
-  Lcg rng(seed);
-  std::vector<GRule> rules = GenProgram(&rng, /*with_negation=*/false);
-  if (rules.empty()) return;
-  Db base = GenBaseFacts(&rng);
-  for (int d = 0; d < kDerived; ++d) {
-    bool defined = false;
-    for (const GRule& r : rules) defined |= r.head == d;
-    if (!defined) {
-      GRule r;
-      r.head = d;
-      r.head_args[0] = 0;
-      r.head_args[1] = 1;
-      r.body = {GLit{0, false, {0, 1}}};
-      rules.push_back(r);
-    }
-  }
-  Db expected = base;
-  ReferenceFixpoint(rules, &expected);
-
-  std::string annotation =
-      "@parallel(" + std::to_string(2 + rng.Next(3)) + ").";
-  std::string text = ProgramText(rules, base, annotation);
-  Database db;
-  auto st = db.Consult(text);
-  ASSERT_TRUE(st.ok()) << st.status().ToString() << "\nseed " << seed
-                       << "\n" << text;
-  for (int d = 0; d < kDerived; ++d) {
-    auto res = db.EvalQuery(PredName(kBase + d) + "(X, Y)");
-    ASSERT_TRUE(res.ok()) << res.status().ToString() << "\nseed " << seed
-                          << "\n" << text;
-    std::set<Fact> got;
-    for (const AnswerRow& row : res->rows) {
-      ASSERT_EQ(row.bindings.size(), 2u);
-      got.insert({static_cast<int>(
-                      ArgCast<IntArg>(row.bindings[0].second)->value()),
-                  static_cast<int>(
-                      ArgCast<IntArg>(row.bindings[1].second)->value())});
-    }
-    EXPECT_EQ(got, expected[kBase + d])
-        << "pred " << PredName(kBase + d) << " seed " << seed << " "
-        << annotation << "\n" << text;
-  }
-}
-
 // Auto-optimization differential: join reordering and automatic index
 // selection (Database::set_auto_optimize, on by default) must never
 // change answers. The same generated program — under a randomly drawn
@@ -492,7 +365,7 @@ void RunAutoOptimizeDifferential(uint64_t seed, bool with_negation) {
   }
 }
 
-void RunAggregateDifferential(uint64_t seed, int threads = 1) {
+void RunAggregateDifferential(uint64_t seed) {
   Lcg rng(seed);
   std::vector<GRule> rules = GenProgram(&rng, /*with_negation=*/false);
   if (rules.empty()) return;
@@ -530,7 +403,6 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
   text.insert(end_pos, agg_exports + agg_rules);
 
   Database db;
-  db.set_num_threads(threads);
   auto st = db.Consult(text);
   ASSERT_TRUE(st.ok()) << st.status().ToString() << "\n" << text;
 
@@ -567,12 +439,11 @@ void RunAggregateDifferential(uint64_t seed, int threads = 1) {
 }
 
 // VM differential: the join bytecode VM (Database::set_use_vm, on by
-// default) against the interpreting ResolveTuple path, crossed with the
-// thread count. Every configuration must be set-identical to the
-// independent reference fixpoint; non-first configurations are also
-// compared to the first directly, so a failure names the diverging
-// configuration. `vm_apps` accumulates VM applications across the run —
-// the test asserts at the end that the VM actually executed.
+// default) against the interpreting ResolveTuple path. Both runs must be
+// set-identical to the independent reference fixpoint; the interpreted
+// run is also compared to the VM run directly, so a failure names the
+// diverging configuration. `vm_apps` accumulates VM applications across
+// the run — the test asserts at the end that the VM actually executed.
 void RunVmDifferential(uint64_t seed, bool with_negation,
                        uint64_t* vm_apps) {
   Lcg rng(seed);
@@ -596,7 +467,7 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
 
   // Shapes the VM cannot compile (@ordered_search, negation) stay in the
   // mix on purpose: the interpreter fallback must be as correct as the
-  // compiled path, under every thread count.
+  // compiled path.
   static const char* kPositive[] = {"",      "@psn.",           "@naive.",
                                     "@no_rewriting.", "@magic.",
                                     "@reorder_joins.", "@save_module.",
@@ -609,18 +480,10 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
                              : kPositive[rng.Next(8)];
   std::string text = ProgramText(rules, base, strategy);
 
-  struct Config {
-    bool use_vm;
-    int threads;
-  };
-  static const Config kConfigs[] = {
-      {true, 1}, {false, 1}, {true, 4}, {false, 4}};
   std::set<Fact> first[kDerived];
-  for (size_t ci = 0; ci < 4; ++ci) {
-    const Config& cfg = kConfigs[ci];
+  for (bool use_vm : {true, false}) {
     Database db;
-    db.set_use_vm(cfg.use_vm);
-    db.set_num_threads(cfg.threads);
+    db.set_use_vm(use_vm);
     auto st = db.Consult(text);
     ASSERT_TRUE(st.ok()) << st.status().ToString() << "\nseed " << seed
                          << "\n" << text;
@@ -628,8 +491,7 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
       auto res = db.EvalQuery(PredName(kBase + d) + "(X, Y)");
       ASSERT_TRUE(res.ok())
           << res.status().ToString() << "\nseed " << seed << " strategy '"
-          << strategy << "' vm=" << cfg.use_vm << " threads "
-          << cfg.threads << "\n" << text;
+          << strategy << "' vm=" << use_vm << "\n" << text;
       std::set<Fact> got;
       for (const AnswerRow& row : res->rows) {
         ASSERT_EQ(row.bindings.size(), 2u);
@@ -641,25 +503,23 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
       }
       EXPECT_EQ(got, expected[kBase + d])
           << "pred " << PredName(kBase + d) << " vs reference, seed "
-          << seed << " strategy '" << strategy << "' vm=" << cfg.use_vm
-          << " threads " << cfg.threads << "\n" << text;
-      if (ci == 0) {
+          << seed << " strategy '" << strategy << "' vm=" << use_vm << "\n"
+          << text;
+      if (use_vm) {
         first[d] = std::move(got);
       } else {
         EXPECT_EQ(got, first[d])
             << "pred " << PredName(kBase + d)
-            << " diverges from the vm/1-thread run, seed " << seed
-            << " strategy '" << strategy << "' vm=" << cfg.use_vm
-            << " threads " << cfg.threads << "\n" << text;
+            << " diverges from the vm run, seed " << seed << " strategy '"
+            << strategy << "'\n" << text;
       }
     }
-    if (cfg.use_vm) {
+    if (use_vm) {
       *vm_apps += db.vm_counters()->applications.load();
     } else {
       // With the VM off nothing may reach it at all.
       EXPECT_EQ(db.vm_counters()->applications.load(), 0u)
-          << "seed " << seed << " strategy '" << strategy << "' threads "
-          << cfg.threads;
+          << "seed " << seed << " strategy '" << strategy << "'";
     }
   }
 }
@@ -675,7 +535,7 @@ void RunVmDifferential(uint64_t seed, bool with_negation,
 // caller can assert the incremental path actually ran.
 // ---------------------------------------------------------------------
 
-void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
+void RunIvmDifferential(uint64_t seed, uint64_t* maintained) {
   Lcg rng(seed);
   std::vector<GRule> rules = GenProgram(&rng, /*with_negation=*/false);
   if (rules.empty()) return;
@@ -694,7 +554,6 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
   }
 
   Database db;
-  db.set_num_threads(threads);
   std::string text = ProgramText(rules, cur, "@save_module.");
   auto st = db.Consult(text);
   ASSERT_TRUE(st.ok()) << st.status().ToString() << "\n" << text;
@@ -706,8 +565,8 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
     for (int d = 0; d < kDerived; ++d) {
       auto res = db.EvalQuery(PredName(kBase + d) + "(X, Y)");
       ASSERT_TRUE(res.ok())
-          << res.status().ToString() << "\nseed " << seed << " threads "
-          << threads << " " << when << " batch " << batch << "\n" << text;
+          << res.status().ToString() << "\nseed " << seed << " " << when
+          << " batch " << batch << "\n" << text;
       std::set<Fact> got;
       for (const AnswerRow& row : res->rows) {
         ASSERT_EQ(row.bindings.size(), 2u);
@@ -718,9 +577,8 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
                         ArgCast<IntArg>(row.bindings[1].second)->value())});
       }
       EXPECT_EQ(got, expected[kBase + d])
-          << "pred " << PredName(kBase + d) << " seed " << seed
-          << " threads " << threads << " " << when << " batch " << batch
-          << "\n" << text;
+          << "pred " << PredName(kBase + d) << " seed " << seed << " "
+          << when << " batch " << batch << "\n" << text;
     }
   };
 
@@ -785,18 +643,18 @@ void RunIvmDifferential(uint64_t seed, int threads, uint64_t* maintained) {
   }
 }
 
-void IvmSeedLoop(uint64_t first, uint64_t last, int threads) {
+void IvmSeedLoop(uint64_t first, uint64_t last) {
   // CORAL_IVM_SEED pins the run to one seed for deterministic replay of
   // a CI failure (mirrors CORAL_FAULT_SEED in crash_recovery_test).
   uint64_t maintained = 0;
   if (const char* env = std::getenv("CORAL_IVM_SEED")) {
     uint64_t seed = std::strtoull(env, nullptr, 0);
     ::testing::Test::RecordProperty("ivm_seed", std::to_string(seed));
-    RunIvmDifferential(seed, threads, &maintained);
+    RunIvmDifferential(seed, &maintained);
     return;
   }
   for (uint64_t seed = first; seed <= last; ++seed) {
-    RunIvmDifferential(seed, threads, &maintained);
+    RunIvmDifferential(seed, &maintained);
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
       return;
@@ -808,25 +666,25 @@ void IvmSeedLoop(uint64_t first, uint64_t last, int threads) {
 }
 
 TEST(IvmDifferentialTest, UpdateSequencesMatchFromScratch) {
-  IvmSeedLoop(10000, 10079, /*threads=*/1);
+  IvmSeedLoop(10000, 10079);
 }
 
-TEST(IvmDifferentialTest, UpdateSequencesMatchFromScratchParallel) {
-  IvmSeedLoop(11000, 11059, /*threads=*/4);
+TEST(IvmDifferentialTest, UpdateSequencesMatchFromScratchMoreSeeds) {
+  IvmSeedLoop(11000, 11059);
 }
 
-TEST(VmDifferentialTest, VmInterpreterThreadMatrixMatchesReference) {
+TEST(VmDifferentialTest, VmInterpreterMatchesReference) {
   uint64_t vm_apps = 0;
   for (uint64_t seed = 8000; seed <= 8149; ++seed) {
     RunVmDifferential(seed, /*with_negation=*/false, &vm_apps);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // The matrix must actually exercise the compiled path, not just agree
+  // The sweep must actually exercise the compiled path, not just agree
   // by everything falling back.
   EXPECT_GT(vm_apps, 0u);
 }
 
-TEST(VmDifferentialTest, VmMatrixWithNegationMatchesReference) {
+TEST(VmDifferentialTest, VmInterpreterWithNegationMatchesReference) {
   uint64_t vm_apps = 0;
   for (uint64_t seed = 8500; seed <= 8649; ++seed) {
     RunVmDifferential(seed, /*with_negation=*/true, &vm_apps);
@@ -955,45 +813,23 @@ TEST(DifferentialTest, AutoOptimizeOnOffWithNegationMatchesReference) {
   }
 }
 
+using SeedRange = std::pair<uint64_t, uint64_t>;  // inclusive
+
 TEST(DifferentialTest, PositiveProgramsMatchReference) {
-  for (uint64_t seed = 1; seed <= 60; ++seed) {
-    RunDifferential(seed, /*with_negation=*/false);
-    if (::testing::Test::HasFatalFailure()) return;
+  for (SeedRange r : {SeedRange{1, 60}, {2000, 2119}, {4000, 4039}}) {
+    for (uint64_t seed = r.first; seed <= r.second; ++seed) {
+      RunDifferential(seed, /*with_negation=*/false);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 
 TEST(DifferentialTest, ProgramsWithBaseNegationMatchReference) {
-  for (uint64_t seed = 1000; seed <= 1060; ++seed) {
-    RunDifferential(seed, /*with_negation=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(ParallelDifferentialTest, ThreadMatrixMatchesReference) {
-  for (uint64_t seed = 2000; seed <= 2119; ++seed) {
-    RunParallelDifferential(seed, /*with_negation=*/false);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(ParallelDifferentialTest, ThreadMatrixWithNegationMatchesReference) {
-  for (uint64_t seed = 3000; seed <= 3099; ++seed) {
-    RunParallelDifferential(seed, /*with_negation=*/true);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(ParallelDifferentialTest, ParallelAnnotationMatchesReference) {
-  for (uint64_t seed = 4000; seed <= 4039; ++seed) {
-    RunAnnotatedParallelDifferential(seed);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(ParallelDifferentialTest, AggregatesUnderParallelEvaluation) {
-  for (uint64_t seed = 5000; seed <= 5030; ++seed) {
-    RunAggregateDifferential(seed, /*threads=*/4);
-    if (::testing::Test::HasFatalFailure()) return;
+  for (SeedRange r : {SeedRange{1000, 1060}, {3000, 3099}}) {
+    for (uint64_t seed = r.first; seed <= r.second; ++seed) {
+      RunDifferential(seed, /*with_negation=*/true);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
 }
 

@@ -91,6 +91,45 @@ TEST_F(RelTest, DeleteAndTombstones) {
   }
 }
 
+TEST_F(RelTest, DeleteMatchingGroundAndNonGroundPatterns) {
+  HashRelation r("p", 2);
+  ASSERT_TRUE(r.Insert(T({I(1), I(2)})));
+  ASSERT_TRUE(r.Insert(T({I(1), I(3)})));
+  ASSERT_TRUE(r.Insert(T({I(2), I(3)})));
+
+  // Ground pattern: exactly the identical stored tuple goes.
+  std::vector<const Tuple*> removed;
+  EXPECT_EQ(r.DeleteMatching(T({I(1), I(2)}), &removed), 1u);
+  EXPECT_EQ(removed, std::vector<const Tuple*>{T({I(1), I(2)})});
+  EXPECT_EQ(r.DeleteMatching(T({I(1), I(2)}), nullptr), 0u);  // gone
+  EXPECT_EQ(r.size(), 2u);
+
+  // Non-ground pattern p(2, X): every tuple it subsumes goes.
+  ASSERT_TRUE(r.Insert(T({I(2), I(4)})));
+  removed.clear();
+  EXPECT_EQ(r.DeleteMatching(T({I(2), f.CanonicalVar(0)}), &removed), 2u);
+  EXPECT_EQ(std::set<const Tuple*>(removed.begin(), removed.end()),
+            (std::set<const Tuple*>{T({I(2), I(3)}), T({I(2), I(4)})}));
+  auto left = Drain(r.Scan().get());
+  EXPECT_EQ(left, std::vector<const Tuple*>{T({I(1), I(3)})});
+}
+
+TEST_F(RelTest, DeleteMatchingGroundPatternSparesNonGroundStoredTuple) {
+  HashRelation r("p", 2);
+  const Tuple* general = T({f.CanonicalVar(0), I(7)});  // p(X, 7)
+  ASSERT_TRUE(r.Insert(general));
+  // The stored p(X, 7) subsumes p(1, 7), so Contains says yes — but a
+  // ground delete pattern subsumes only itself and must not touch it.
+  EXPECT_TRUE(r.Contains(T({I(1), I(7)})));
+  EXPECT_EQ(r.DeleteMatching(T({I(1), I(7)}), nullptr), 0u);
+  EXPECT_EQ(r.size(), 1u);
+  // A non-ground pattern that subsumes it (a variant) deletes it.
+  std::vector<const Tuple*> removed;
+  EXPECT_EQ(r.DeleteMatching(T({f.CanonicalVar(0), I(7)}), &removed), 1u);
+  EXPECT_EQ(removed, std::vector<const Tuple*>{general});
+  EXPECT_EQ(r.size(), 0u);
+}
+
 TEST_F(RelTest, MarksPartitionInsertionOrder) {
   HashRelation r("p", 1);
   r.Insert(T({I(1)}));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <string>
 #include <thread>
@@ -197,6 +198,36 @@ TEST(SnapshotTest, DeadlineAbortsCrossProduct) {
   session.set_deadline_ms(0);
   auto quick = session.EvalQuery("?- wide(0).");
   EXPECT_TRUE(quick.ok());
+}
+
+TEST(SnapshotTest, DeadlineAbortsVmCompiledCrossProduct) {
+  // A 1500 x 1500 cross product inside a module: the rule compiles to
+  // join bytecode, so the 2.25M-solution enumeration runs on the VM,
+  // which must poll the deadline itself rather than run to completion.
+  Database db;
+  ASSERT_TRUE(db.Consult("module xp.\nexport xp(ff).\n"
+                         "xp(X, Y) :- a(X), b(Y).\nend_module.\n")
+                  .ok());
+  // Compile the query form while a and b are empty, so the 5 ms budget
+  // is spent in the join rather than in rewriting (slow under sanitizers).
+  ASSERT_TRUE(db.EvalQuery("xp(X, Y)").ok());
+  std::string facts;
+  for (int i = 0; i < 1500; ++i) {
+    facts += "a(" + std::to_string(i) + "). b(" + std::to_string(i) + ").\n";
+  }
+  ASSERT_TRUE(db.Consult(facts).ok());
+  db.vm_counters()->applications.store(0);
+  Session session(&db, /*deadline_ms=*/5);
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = session.EvalQuery("?- xp(X, Y).");
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(200));
+  // The VM ran the rule, and expiry did not re-run it interpreted.
+  EXPECT_GT(db.vm_counters()->applications.load(), 0u);
+  EXPECT_EQ(db.vm_counters()->runtime_fallbacks.load(), 0u);
 }
 
 // Satellite regression: a TraceSink registered at teardown time must not

@@ -1,7 +1,7 @@
 // coral_prof: evaluation profiler for CORAL programs.
 //
 //   coral_prof [--query='tc(X, Y)'] [--trace=FILE.jsonl]
-//              [--threads=N] [--deadline-ms=N] [--max-inflight=N]
+//              [--deadline-ms=N] [--max-inflight=N]
 //              [--plan] [--no-auto-optimize] file.crl ...
 //
 // Consults each file with profiling enabled, executes the queries found
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> files;
   std::vector<std::string> queries;
   std::string trace_path;
-  int threads = 0;
   long long deadline_ms = 0;
   int max_inflight = 1;
   bool plan = false;
@@ -66,8 +65,6 @@ int main(int argc, char** argv) {
       queries.push_back(arg.substr(8));
     } else if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       deadline_ms = std::atoll(arg.c_str() + 14);
     } else if (arg.rfind("--max-inflight=", 0) == 0) {
@@ -84,7 +81,7 @@ int main(int argc, char** argv) {
       use_vm = false;
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: coral_prof [--query='p(X)'] [--trace=FILE.jsonl]"
-                   " [--threads=N] [--deadline-ms=N] [--max-inflight=N]"
+                   " [--deadline-ms=N] [--max-inflight=N]"
                    " [--plan] [--bytecode] [--verify]"
                    " [--no-auto-optimize] [--no-vm] file.crl ...\n";
       return 0;
@@ -94,7 +91,7 @@ int main(int argc, char** argv) {
   }
   if (files.empty()) {
     std::cerr << "usage: coral_prof [--query='p(X)'] [--trace=FILE.jsonl]"
-                 " [--threads=N] [--deadline-ms=N] [--max-inflight=N]"
+                 " [--deadline-ms=N] [--max-inflight=N]"
                  " [--plan] [--bytecode] [--verify]"
                  " [--no-auto-optimize] [--no-vm] file.crl ...\n";
     return 2;
@@ -104,7 +101,6 @@ int main(int argc, char** argv) {
   db.set_profiling(true);
   db.set_auto_optimize(auto_optimize);
   db.set_use_vm(use_vm);
-  if (threads > 0) db.set_num_threads(threads);
 
   std::ofstream trace_out;
   std::unique_ptr<coral::obs::JsonlTraceSink> sink;
