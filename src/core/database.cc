@@ -402,7 +402,7 @@ void Database::PublishLocked() {
       if (mr == nullptr || !mr->is_shared_base()) continue;
       if (mr->publish_dirty()) mr->PublishCommitted(epoch);
       if (const RelReadTable* table = mr->published_table()) {
-        view->tables.emplace(rel, table);
+        view->Add(rel, table, view_.get());
       }
     }
   }

@@ -256,7 +256,8 @@ class Database {
   StatusOr<bool> InsertFactLocked(const Rule& fact)
       CORAL_REQUIRES(commit_mu_);
   /// Publishes dirty shared relations at a new epoch and rebuilds the
-  /// cached view.
+  /// cached view. Tables that did not change keep their frozen indexes;
+  /// no index is built here.
   void PublishLocked() CORAL_REQUIRES(commit_mu_);
 
   std::unique_ptr<TermFactory> factory_;

@@ -40,16 +40,27 @@ bool AggregateSelection::Extract(const Tuple* t, uint64_t* group_hash,
 
 namespace {
 
+bool SameTerm(const Arg* a, const Arg* b) {
+  return a == b || (a != nullptr && b != nullptr && a->Equals(*b));
+}
+
 bool SameGroup(const std::vector<const Arg*>& a,
                const std::vector<const Arg*>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i] && !a[i]->Equals(*b[i])) return false;
+    if (!SameTerm(a[i], b[i])) return false;
   }
   return true;
 }
 
 }  // namespace
+
+bool AggregateSelection::SameConstraint(const AggregateSelection& o) const {
+  return kind_ == o.kind_ && var_count_ == o.var_count_ &&
+         SameGroup(pattern_, o.pattern_) &&
+         SameGroup(group_args_, o.group_args_) &&
+         SameTerm(agg_arg_, o.agg_arg_);
+}
 
 AggregateSelection::Decision AggregateSelection::Check(const Tuple* t) const {
   Decision d;

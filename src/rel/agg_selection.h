@@ -41,6 +41,10 @@ class AggregateSelection {
 
   Kind kind() const { return kind_; }
 
+  /// True if `o` states the same constraint (kind, pattern, grouping and
+  /// aggregated terms, structurally equal); its group table is ignored.
+  bool SameConstraint(const AggregateSelection& o) const;
+
   /// Decision for an insert attempt.
   struct Decision {
     bool admit = true;                      // insert the new tuple?

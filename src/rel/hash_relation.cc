@@ -1,18 +1,57 @@
 #include "src/rel/hash_relation.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/data/unify.h"
 
 namespace coral {
 
+namespace {
+
+/// The widest index in `indexes` whose columns all appear in `cols`, or
+/// nullptr: the one index choice of live readers (the relation's own
+/// indexes) and snapshot readers (the view's frozen ones).
+const ArgumentIndex* CoveringIndex(
+    std::span<const ArgumentIndex* const> indexes,
+    std::span<const uint32_t> cols) {
+  const ArgumentIndex* best = nullptr;
+  for (const ArgumentIndex* idx : indexes) {
+    if (idx->cols().empty()) continue;
+    const bool covered =
+        std::all_of(idx->cols().begin(), idx->cols().end(), [&](uint32_t c) {
+          return std::find(cols.begin(), cols.end(), c) != cols.end();
+        });
+    if (covered &&
+        (best == nullptr || idx->cols().size() > best->cols().size())) {
+      best = idx;
+    }
+  }
+  return best;
+}
+
+}  // namespace
+
 bool HashRelation::Contains(const Tuple* t) const {
   if (const RelReadTable* table = ViewTable()) {
     // Snapshot semantics of the live check: a ground tuple is present by
     // pointer identity (hash-consing), and any stored non-ground fact
-    // that subsumes `t` counts. Linear, but snapshot reads on base
-    // relations are scan-shaped anyway (no live indexes).
+    // that subsumes `t` counts. A ground `t` probes the frozen index on
+    // every column, whose var bucket holds all stored non-ground facts.
     const bool ground = t->IsGround();
+    if (ground) {
+      std::vector<uint32_t> cols(arity());
+      std::iota(cols.begin(), cols.end(), 0u);
+      std::vector<const Tuple*> candidates;
+      if (ProbeArgs(cols, t->args(), 0, kMaxMark, &candidates)) {
+        for (const Tuple* stored : candidates) {
+          if (stored == t) return true;
+          if (!stored->IsGround() && SubsumesTuple(stored, t)) return true;
+        }
+        return false;
+      }
+    }
+    // A non-ground `t`, or a 0-ary relation (no index), walks the table.
     for (uint32_t s = 0; s < table->sub_count(); ++s) {
       for (const Tuple* stored : table->sub(s)) {
         if (table->IsDeleted(stored, s)) continue;
@@ -65,9 +104,20 @@ bool HashRelation::DoDelete(const Tuple* t) {
 
 std::unique_ptr<TupleIterator> HashRelation::Select(
     std::span<const TermRef> pattern, Mark from, Mark to) const {
-  if (ViewTable() != nullptr) {
-    // Select returns a candidate SUPERSET; the frozen-table scan is one.
-    return ScanRange(from, to);
+  if (const ReadView::Entry* view = ViewEntry()) {
+    // Snapshot reader: the frozen index on the pattern's ground columns.
+    std::vector<uint32_t> cols;
+    for (uint32_t c = 0; c < pattern.size(); ++c) {
+      uint64_t h;
+      if (HashResolvedTerm(pattern[c].term, pattern[c].env, &h)) {
+        cols.push_back(c);
+      }
+    }
+    if (cols.empty()) return ScanRange(from, to);
+    std::vector<Posting> candidates;
+    view->indexes->For(cols)->LookupPattern(pattern, from, to, &candidates);
+    return std::make_unique<CandidateIterator>(std::move(candidates),
+                                               nullptr);
   }
   for (const auto& idx : indexes_) {
     std::vector<Posting> candidates;
@@ -124,30 +174,18 @@ void HashRelation::AddCustomIndex(std::unique_ptr<Index> index) {
 bool HashRelation::ProbeArgs(std::span<const uint32_t> cols,
                              std::span<const Arg* const> key, Mark from,
                              Mark to, std::vector<const Tuple*>* out) const {
-  // Live argument indexes are writer-side structures; snapshot readers
-  // decline the probe and the VM scans the (view-served) window instead.
-  if (ViewTable() != nullptr) return false;
-  auto pos_of = [&](uint32_t c) {
-    for (size_t i = 0; i < cols.size(); ++i) {
-      if (cols[i] == c) return i;
-    }
-    return cols.size();
-  };
-  const ArgumentIndex* best = nullptr;
-  for (const ArgumentIndex* idx : argument_indexes_) {
-    if (idx->cols().empty()) continue;
-    bool covered = true;
-    for (uint32_t c : idx->cols()) {
-      if (pos_of(c) == cols.size()) {
-        covered = false;
-        break;
-      }
-    }
-    if (covered &&
-        (best == nullptr || idx->cols().size() > best->cols().size())) {
-      best = idx;
-    }
+  if (cols.empty()) return false;
+  std::span<const ArgumentIndex* const> indexes = argument_indexes_;
+  const TombstoneMap* dead = &deleted_;
+  if (const ReadView::Entry* view = ViewEntry()) {
+    // Snapshot reader: the live indexes are writer-side structures, so
+    // probe the view's frozen ones, building the one on `cols` on first
+    // use. They hold no dead occurrence.
+    view->indexes->For(cols);
+    indexes = view->indexes->Built();
+    dead = nullptr;
   }
+  const ArgumentIndex* best = CoveringIndex(indexes, cols);
   if (best == nullptr) return false;
   std::vector<Posting> postings;
   if (best->cols().size() == cols.size() &&
@@ -157,12 +195,17 @@ bool HashRelation::ProbeArgs(std::span<const uint32_t> cols,
     // Partial-cover probe: reorder the key to the index's column order.
     std::vector<const Arg*> idx_key;
     idx_key.reserve(best->cols().size());
-    for (uint32_t c : best->cols()) idx_key.push_back(key[pos_of(c)]);
+    for (uint32_t c : best->cols()) {
+      idx_key.push_back(key[std::find(cols.begin(), cols.end(), c) -
+                            cols.begin()]);
+    }
     best->LookupGround(idx_key, from, to, &postings);
   }
   out->reserve(out->size() + postings.size());
   for (const Posting& p : postings) {
-    if (!IsDeletedAt(p.tuple, p.sub)) out->push_back(p.tuple);
+    if (dead == nullptr || !TombstonedAt(*dead, p.tuple, p.sub)) {
+      out->push_back(p.tuple);
+    }
   }
   return true;
 }

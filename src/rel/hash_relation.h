@@ -18,7 +18,8 @@ namespace coral {
 /// Yields a prematerialized candidate posting list, filtering each
 /// occurrence against the relation's tombstone boundaries at yield time
 /// (so deletions that happen after materialization — e.g. aggregate-
-/// selection deletes during consumption — are not served).
+/// selection deletes during consumption — are not served). A null
+/// `deleted` serves every posting (frozen indexes hold no dead one).
 class CandidateIterator : public TupleIterator {
  public:
   CandidateIterator(std::vector<Posting> candidates,
@@ -28,7 +29,9 @@ class CandidateIterator : public TupleIterator {
   const Tuple* Next() override {
     while (pos_ < candidates_.size()) {
       const Posting& p = candidates_[pos_++];
-      if (!TombstonedAt(*deleted_, p.tuple, p.sub)) return p.tuple;
+      if (deleted_ == nullptr || !TombstonedAt(*deleted_, p.tuple, p.sub)) {
+        return p.tuple;
+      }
     }
     return nullptr;
   }
@@ -45,11 +48,13 @@ class HashRelation : public MemoryRelation {
       : MemoryRelation(std::move(name), arity) {}
 
   /// Snapshot readers (an installed ReadView over a shared base relation)
-  /// are served from the frozen epoch table: Select degrades to a table
-  /// scan, Contains to a linear subsumption check, and ProbeArgs declines
-  /// so the VM takes its documented window-scan fallback — the live
-  /// indexes and count maps are writer-side structures and are never
-  /// touched from reader threads.
+  /// are served from the frozen epoch table through the view's frozen
+  /// argument indexes (FrozenIndexes, src/rel/readview.h), built on the
+  /// first probe of a column list: ProbeArgs and Select probe the frozen
+  /// index on their bound columns, and Contains of a ground tuple the one
+  /// on all columns (a non-ground tuple still walks the table for
+  /// subsuming facts). The live indexes and count maps are writer-side
+  /// structures and are never touched from reader threads.
   bool Contains(const Tuple* t) const override;
 
   std::unique_ptr<TupleIterator> Select(std::span<const TermRef> pattern,
@@ -80,7 +85,8 @@ class HashRelation : public MemoryRelation {
   /// and appends a candidate SUPERSET (var-bucket postings included,
   /// tombstones filtered) — callers still check every column. Returns
   /// false when no argument index can serve the probe; the caller must
-  /// fall back to scanning the window.
+  /// fall back to scanning the window. A snapshot reader always has an
+  /// index: the view's frozen one on exactly `cols`.
   bool ProbeArgs(std::span<const uint32_t> cols,
                  std::span<const Arg* const> key, Mark from, Mark to,
                  std::vector<const Tuple*>* out) const;

@@ -53,6 +53,12 @@ void ArgumentIndex::Add(const Tuple* t, uint32_t sub) {
 
 bool ArgumentIndex::TryLookup(std::span<const TermRef> pattern, uint32_t from,
                               uint32_t to, std::vector<Posting>* out) {
+  return LookupPattern(pattern, from, to, out);
+}
+
+bool ArgumentIndex::LookupPattern(std::span<const TermRef> pattern,
+                                  uint32_t from, uint32_t to,
+                                  std::vector<Posting>* out) const {
   uint64_t key = kKeySeed;
   for (uint32_t c : cols_) {
     if (c >= pattern.size()) return false;

@@ -83,6 +83,11 @@ class ArgumentIndex : public Index {
                  std::vector<Posting>* out) override;
   int key_width() const override { return static_cast<int>(cols_.size()); }
 
+  /// TryLookup without the Index interface's non-const signature, for
+  /// indexes shared read-only between threads (FrozenIndexes).
+  bool LookupPattern(std::span<const TermRef> pattern, uint32_t from,
+                     uint32_t to, std::vector<Posting>* out) const;
+
   /// Probe with a pre-resolved ground key, one Arg per indexed column in
   /// cols() order (the bytecode VM's path: no TermRef/BindEnv plumbing).
   /// Appends the candidate superset for subsidiaries [from, to),

@@ -2,8 +2,11 @@
 
 namespace coral {
 
-const RelReadTable* MemoryRelation::EmptyTable() {
-  static const RelReadTable* empty = new RelReadTable();
+const ReadView::Entry* MemoryRelation::EmptyEntry() {
+  static const ReadView::Entry* empty = [] {
+    const auto* table = new RelReadTable();
+    return new ReadView::Entry{table, std::make_shared<FrozenIndexes>(table)};
+  }();
   return empty;
 }
 

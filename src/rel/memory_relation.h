@@ -3,7 +3,7 @@
 // mark interval, paper §3.2), tombstone deletion, and range scans. For
 // relations marked as shared base relations, commits additionally publish
 // immutable epoch snapshots (src/rel/readview.h) that concurrent reader
-// threads scan instead of the live structures.
+// threads scan and probe instead of the live structures.
 
 #ifndef CORAL_REL_MEMORY_RELATION_H_
 #define CORAL_REL_MEMORY_RELATION_H_
@@ -32,8 +32,9 @@ namespace coral {
 /// MarkSharedBase participates in the server's snapshot protocol: the
 /// commit lock holder calls PublishCommitted, and reader threads that
 /// installed a ReadView are served frozen tables by the read paths
-/// (ScanRange here; Select/Contains/ProbeArgs in HashRelation), never
-/// touching the live deque, tombstone set, or indexes.
+/// (ScanRange here; Select/Contains/ProbeArgs in HashRelation, through
+/// the view's frozen indexes), never touching the live deque, tombstone
+/// set, or indexes.
 class MemoryRelation : public Relation {
  public:
   MemoryRelation(std::string name, uint32_t arity)
@@ -123,19 +124,25 @@ class MemoryRelation : public Relation {
     if (shared_base_) pub_dirty_ = true;
   }
 
-  /// The frozen table reader threads must use instead of live state:
-  /// nullptr when this thread reads live (no view installed, or the
-  /// relation is not a shared base). A shared base absent from the view
-  /// was created after the view's epoch and reads as empty.
-  const RelReadTable* ViewTable() const {
+  /// The frozen table (and its per-view indexes) reader threads must use
+  /// instead of live state: nullptr when this thread reads live (no view
+  /// installed, or the relation is not a shared base). A shared base
+  /// absent from the view was created after the view's epoch and reads
+  /// as empty.
+  const ReadView::Entry* ViewEntry() const {
     if (!shared_base_) return nullptr;
     const ReadView* view = ActiveReadView();
     if (view == nullptr) return nullptr;
-    const RelReadTable* table = view->TableFor(this);
-    return table != nullptr ? table : EmptyTable();
+    const ReadView::Entry* entry = view->EntryFor(this);
+    return entry != nullptr ? entry : EmptyEntry();
   }
 
-  static const RelReadTable* EmptyTable();
+  const RelReadTable* ViewTable() const {
+    const ReadView::Entry* entry = ViewEntry();
+    return entry != nullptr ? entry->table : nullptr;
+  }
+
+  static const ReadView::Entry* EmptyEntry();
 
   // deque: closed subsidiaries never move, so published tables can point
   // straight at their tuple vectors.

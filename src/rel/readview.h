@@ -8,18 +8,24 @@
 // the evaluation makes on a shared base relation is served from the view,
 // so concurrent commits are invisible until the session refreshes. Tables
 // are retained by their relation until it is destroyed, so a view
-// outlives any number of later commits.
+// outlives any number of later commits. Each view also carries, per
+// table, the argument indexes its readers probe (FrozenIndexes): built
+// on first use over the frozen table, shared with later views that keep
+// the same table, and freed with the last view that holds them.
 
 #ifndef CORAL_REL_READVIEW_H_
 #define CORAL_REL_READVIEW_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "src/rel/index.h"
 #include "src/rel/tombstones.h"
+#include "src/util/sync.h"
 
 namespace coral {
 
@@ -52,19 +58,66 @@ struct RelReadTable {
   }
 };
 
+/// Argument indexes over one published table, for the snapshot readers
+/// of every view that holds the table (paper §3.2: "the indexing
+/// mechanisms are used on each subsidiary relation"). An index is built
+/// on the first probe of its column list, over exactly the table's
+/// subsidiaries and tail with its tombstoned occurrences left out, so it
+/// never shows a later commit. Nothing is built at publication.
+///
+/// Readers find built indexes without a lock: the list of indexes is
+/// immutable once published (release store, acquire load); a build
+/// publishes a longer copy and keeps the old lists alive, since readers
+/// may still walk them. Only a build takes mu_.
+class FrozenIndexes {
+ public:
+  explicit FrozenIndexes(const RelReadTable* table) : table_(table) {}
+  FrozenIndexes(const FrozenIndexes&) = delete;
+  FrozenIndexes& operator=(const FrozenIndexes&) = delete;
+
+  /// The indexes built so far.
+  std::span<const ArgumentIndex* const> Built() const {
+    return *lists_.load(std::memory_order_acquire);
+  }
+
+  /// The index on exactly `cols`, built on first use.
+  const ArgumentIndex* For(std::span<const uint32_t> cols);
+
+ private:
+  using List = std::vector<const ArgumentIndex*>;
+
+  const RelReadTable* table_;
+  const List empty_;
+  std::atomic<const List*> lists_{&empty_};
+  Mutex mu_{kRankFrozenIndex};
+  std::vector<std::unique_ptr<ArgumentIndex>> owned_ CORAL_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<const List>> published_ CORAL_GUARDED_BY(mu_);
+};
+
 /// The set of published tables one query evaluates against. Relations
 /// absent from the map either are not shared base relations (module-
 /// internal relations always read live state) or did not exist at the
 /// view's epoch (they read as empty via the snapshot paths only when
 /// marked shared).
 struct ReadView {
-  uint64_t epoch = 0;
-  std::unordered_map<const Relation*, const RelReadTable*> tables;
+  struct Entry {
+    const RelReadTable* table = nullptr;
+    std::shared_ptr<FrozenIndexes> indexes;
+  };
 
-  const RelReadTable* TableFor(const Relation* rel) const {
+  uint64_t epoch = 0;
+  std::unordered_map<const Relation*, Entry> tables;
+
+  const Entry* EntryFor(const Relation* rel) const {
     auto it = tables.find(rel);
-    return it == tables.end() ? nullptr : it->second;
+    return it == tables.end() ? nullptr : &it->second;
   }
+
+  /// Adds `rel`'s published `table`. When `prev` (the previous view)
+  /// holds the same table, its frozen indexes are shared rather than
+  /// rebuilt; otherwise the table starts with none. Builds nothing.
+  void Add(const Relation* rel, const RelReadTable* table,
+           const ReadView* prev);
 };
 
 /// The view installed on the calling thread, or nullptr (live reads —

@@ -30,6 +30,13 @@ bool Relation::Insert(const Tuple* t) {
   return true;
 }
 
+void Relation::AddAggregateSelection(std::unique_ptr<AggregateSelection> sel) {
+  for (const auto& have : selections_) {
+    if (have->SameConstraint(*sel)) return;
+  }
+  selections_.push_back(std::move(sel));
+}
+
 bool Relation::Delete(const Tuple* t) {
   if (!DoDelete(t)) return false;
   for (const auto& sel : selections_) sel->Remove(t);

@@ -145,9 +145,9 @@ class Relation {
   }
 
   /// Attaches an aggregate selection (paper §5.5.2). Checked on insert.
-  void AddAggregateSelection(std::unique_ptr<AggregateSelection> sel) {
-    selections_.push_back(std::move(sel));
-  }
+  /// A constraint already attached is not attached again, so a module
+  /// whose every activation declares it on a base relation adds it once.
+  void AddAggregateSelection(std::unique_ptr<AggregateSelection> sel);
   const std::vector<std::unique_ptr<AggregateSelection>>& selections() const {
     return selections_;
   }

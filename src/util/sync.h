@@ -121,6 +121,7 @@ enum LockRank : uint32_t {
                              // briefly at snapshot acquisition)
   kRankModuleManager = 6,    // ModuleManager::mu_ (form cache, exports)
   kRankBaseMap = 8,          // Database::base_mu_ (base-relation map)
+  kRankFrozenIndex = 10,     // FrozenIndexes::mu_ (per-view index build)
   kRankStatsRegistry = 20,   // obs::StatsRegistry::mu_ (profile map)
   kRankModuleProfile = 30,   // obs::ModuleProfile::mu_ (rule/iter logs)
   kRankTermFactory = 40,     // TermFactory::mu_ (arena + hash-cons)

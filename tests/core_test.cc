@@ -518,6 +518,26 @@ TEST_F(CoreTest, ShortestPathLargerGraph) {
   EXPECT_NE(rows[0].find("C = 10"), std::string::npos);
 }
 
+// A module's @aggregate_selection on a base relation is attached by every
+// activation's Init; the relation must hold it once, not once per query.
+TEST_F(CoreTest, BaseAggregateSelectionAttachesOnce) {
+  Load(R"(
+    module lowest.
+    export q(f).
+    @aggregate_selection e(X, C) (X) min(C).
+    q(X) :- e(X, C).
+    end_module.
+    e(a, 3). e(b, 1).
+  )");
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(Ask("?- q(X)."), (std::vector<std::string>{"X = a", "X = b"}));
+  }
+  Relation* e = db.FindBaseRelation(
+      PredRef{db.factory()->symbols().Intern("e"), 2});
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->selections().size(), 1u);
+}
+
 // ---------------------------------------------------------------------
 // Pipelining
 // ---------------------------------------------------------------------

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <set>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "src/core/database.h"
 #include "src/core/session.h"
 #include "src/obs/trace.h"
+#include "src/rel/readview.h"
 
 namespace coral {
 namespace {
@@ -274,6 +277,209 @@ TEST(SnapshotTest, EpochAdvancesPerPublication) {
   ASSERT_TRUE(db.Consult("p(2).").ok());
   auto v2 = db.AcquireReadSnapshot();
   EXPECT_GT(v2->epoch, e1);
+}
+
+// ---------------------------------------------------------------------
+// Frozen argument indexes: snapshot readers probe, never scan
+// ---------------------------------------------------------------------
+
+std::string HierModule() {
+  return "module hier.\n"
+         "export anc(bf, bb, fb).\n"
+         "anc(X, Y) :- parent(Y, X).\n"
+         "anc(X, Y) :- anc(X, Z), parent(Y, Z).\n"
+         "end_module.\n";
+}
+
+// parent(Child, Parent) facts of a 3-ary tree with nodes n0..n<nodes-1>.
+std::string TreeFacts(int nodes) {
+  std::string out;
+  for (int i = 1; i < nodes; ++i) {
+    out += "parent(n" + std::to_string(i) + ", n" +
+           std::to_string((i - 1) / 3) + ").\n";
+  }
+  return out;
+}
+
+std::vector<std::string> SortedRows(const StatusOr<QueryResult>& result) {
+  std::vector<std::string> rows;
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return rows;
+  for (const AnswerRow& r : result->rows) rows.push_back(r.ToString());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+const FrozenIndexes* ParentIndexes(Database* db, const ReadView& view) {
+  Relation* parent = db->FindBaseRelation(
+      PredRef{db->factory()->symbols().Intern("parent"), 2});
+  const ReadView::Entry* entry = view.EntryFor(parent);
+  return entry != nullptr ? entry->indexes.get() : nullptr;
+}
+
+// Every query form through a Session answers as the live database does,
+// and no PROBE_INDEX falls back to a scan of the snapshot table.
+TEST(SnapshotTest, SessionProbesFrozenIndexesWithoutScanFallback) {
+  Database db;
+  ASSERT_TRUE(db.Consult(HierModule()).ok());
+  ASSERT_TRUE(db.Consult(TreeFacts(121)).ok());
+  Session session(&db);
+  obs::VmCounters* vc = db.vm_counters();
+  for (const char* q :
+       {"?- anc(n0, Y).", "?- anc(n4, Y).", "?- anc(n0, n100).",
+        "?- anc(n5, n100).", "?- anc(n4, n100).", "?- anc(X, n100).",
+        "?- anc(X, n40).", "?- parent(Y, n4), parent(Z, Y)."}) {
+    std::vector<std::string> live = SortedRows(db.EvalQuery(q));
+    const uint64_t fallbacks = vc->probe_scan_fallbacks.load();
+    const uint64_t probes = vc->probe_index.load();
+    EXPECT_EQ(SortedRows(session.EvalQuery(q)), live) << q;
+    EXPECT_EQ(vc->probe_scan_fallbacks.load(), fallbacks) << q;
+    if (std::string(q).starts_with("?- anc")) {
+      EXPECT_GT(vc->probe_index.load(), probes) << q;
+    }
+  }
+}
+
+// An index built at epoch k serves exactly epoch k: facts inserted or
+// deleted (tombstoned) later stay invisible until the session refreshes.
+TEST(SnapshotTest, FrozenIndexesKeepEpochIsolation) {
+  Database db;
+  ASSERT_TRUE(db.Consult(HierModule()).ok());
+  ASSERT_TRUE(db.Consult(TreeFacts(40)).ok());
+  Session reader(&db);
+  const std::vector<std::string> anc_before =
+      SortedRows(reader.EvalQuery("?- anc(X, n13)."));
+  const std::vector<std::string> kids_before =
+      SortedRows(reader.EvalQuery("?- parent(X, n1)."));
+  ASSERT_EQ(kids_before.size(), 3u);
+
+  Session writer(&db);
+  auto update = writer.ApplyUpdate("+parent(n13, n2).\n-parent(n4, n1).\n");
+  ASSERT_TRUE(update.ok()) << update.status().ToString();
+
+  EXPECT_EQ(SortedRows(reader.EvalQuery("?- anc(X, n13).")), anc_before);
+  EXPECT_EQ(SortedRows(reader.EvalQuery("?- parent(X, n1).")), kids_before);
+  EXPECT_EQ(SortedRows(reader.EvalQuery("?- parent(n4, n1).")).size(), 1u);
+
+  reader.Refresh();
+  const std::vector<std::string> anc_after =
+      SortedRows(reader.EvalQuery("?- anc(X, n13)."));
+  EXPECT_EQ(anc_after, SortedRows(db.EvalQuery("?- anc(X, n13).")));
+  EXPECT_NE(anc_after, anc_before);
+  EXPECT_EQ(SortedRows(reader.EvalQuery("?- parent(X, n1).")).size(), 2u);
+  EXPECT_TRUE(SortedRows(reader.EvalQuery("?- parent(n4, n1).")).empty());
+}
+
+// Publication builds no index; a table that did not change keeps its
+// indexes in the next view; the last view holding them frees them.
+TEST(SnapshotTest, FrozenIndexesAreLazySharedAndReleased) {
+  Database db;
+  ASSERT_TRUE(db.Consult(HierModule()).ok());
+  ASSERT_TRUE(db.Consult(TreeFacts(40)).ok());
+  std::shared_ptr<const ReadView> v1 = db.AcquireReadSnapshot();
+  const FrozenIndexes* idx1 = ParentIndexes(&db, *v1);
+  ASSERT_NE(idx1, nullptr);
+  EXPECT_TRUE(idx1->Built().empty());
+  {
+    Session s(&db);
+    ASSERT_FALSE(SortedRows(s.EvalQuery("?- anc(X, n13).")).empty());
+  }
+  EXPECT_FALSE(idx1->Built().empty());
+
+  // A commit to another relation: parent's table and indexes carry over.
+  ASSERT_TRUE(db.Consult("other(1).").ok());
+  std::shared_ptr<const ReadView> v2 = db.AcquireReadSnapshot();
+  EXPECT_EQ(ParentIndexes(&db, *v2), idx1);
+
+  // A commit to parent: the new table starts with no index.
+  ASSERT_TRUE(db.Consult("parent(n40, n13).").ok());
+  std::shared_ptr<const ReadView> v3 = db.AcquireReadSnapshot();
+  EXPECT_NE(ParentIndexes(&db, *v3), idx1);
+  EXPECT_TRUE(ParentIndexes(&db, *v3)->Built().empty());
+
+  Relation* parent = db.FindBaseRelation(
+      PredRef{db.factory()->symbols().Intern("parent"), 2});
+  std::weak_ptr<FrozenIndexes> old = v1->EntryFor(parent)->indexes;
+  v1.reset();
+  EXPECT_FALSE(old.expired());  // v2 still holds them
+  v2.reset();
+  EXPECT_TRUE(old.expired());
+}
+
+// Four readers make the first probe of one view at once: one index per
+// column list gets built, and every answer is right.
+TEST(SnapshotTest, ConcurrentFirstProbesShareOneIndex) {
+  constexpr int kReaders = 4;
+  Database db;
+  ASSERT_TRUE(db.Consult(HierModule()).ok());
+  ASSERT_TRUE(db.Consult(TreeFacts(364)).ok());
+  const std::vector<std::string> expected =
+      SortedRows(db.EvalQuery("?- anc(X, n300)."));
+  ASSERT_EQ(expected.size(), 5u);
+  std::shared_ptr<const ReadView> view = db.AcquireReadSnapshot();
+
+  std::latch start(kReaders);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      Session session(&db);
+      start.arrive_and_wait();
+      auto result = session.EvalQuery("?- anc(X, n300).");
+      if (SortedRows(result) != expected) wrong.fetch_add(1);
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+
+  const FrozenIndexes* idx = ParentIndexes(&db, *view);
+  ASSERT_NE(idx, nullptr);
+  std::span<const ArgumentIndex* const> built = idx->Built();
+  EXPECT_FALSE(built.empty());
+  for (size_t i = 0; i < built.size(); ++i) {
+    for (size_t j = i + 1; j < built.size(); ++j) {
+      EXPECT_NE(built[i]->cols(), built[j]->cols());
+    }
+  }
+}
+
+// Negation and Contains under a view go through the frozen indexes and
+// agree with live evaluation, non-ground stored facts included.
+TEST(SnapshotTest, NegationAndContainsUnderView) {
+  Database db;
+  // deep(X): X's parent is not a child of n0, i.e. X is below level 2.
+  ASSERT_TRUE(db.Consult("module deep.\n"
+                         "export deep(f).\n"
+                         "deep(X) :- parent(X, P), not parent(P, n0).\n"
+                         "end_module.\n")
+                  .ok());
+  ASSERT_TRUE(db.Consult(TreeFacts(40)).ok());
+  ASSERT_TRUE(db.Consult("edge(X, hub).\nedge(a, b).\n").ok());
+  Session session(&db);
+  const std::vector<std::string> live =
+      SortedRows(db.EvalQuery("?- deep(X)."));
+  ASSERT_EQ(live.size(), 30u);
+  EXPECT_EQ(SortedRows(session.EvalQuery("?- deep(X).")), live);
+
+  TermFactory* f = db.factory();
+  Relation* edge =
+      db.FindBaseRelation(PredRef{f->symbols().Intern("edge"), 2});
+  ASSERT_NE(edge, nullptr);
+  auto tuple = [&](const char* a, const char* b) {
+    std::vector<const Arg*> args = {f->MakeAtom(a), f->MakeAtom(b)};
+    return f->MakeTuple(args);
+  };
+  std::shared_ptr<const ReadView> view = db.AcquireReadSnapshot();
+  {
+    ScopedReadView scope(view.get());
+    EXPECT_TRUE(edge->Contains(tuple("a", "b")));
+    EXPECT_TRUE(edge->Contains(tuple("z", "hub")));  // edge(X, hub)
+    EXPECT_FALSE(edge->Contains(tuple("b", "a")));
+  }
+  Session writer(&db);
+  ASSERT_TRUE(writer.ApplyUpdate("-edge(a, b).\n").ok());
+  ScopedReadView scope(view.get());
+  EXPECT_TRUE(edge->Contains(tuple("a", "b")));  // deleted after the view
 }
 
 }  // namespace
